@@ -248,50 +248,65 @@ func (h *harness) read() []Item {
 // quiesce drains the network (a deterministic cut point).
 func (h *harness) quiesce() { h.net.Quiesce() }
 
-// restart swaps a fresh, empty replica into a crashed slot and kicks
+// restart swaps a fresh, empty replica into one crashed slot and kicks
 // it; the fresh machine must catch up via checkpoint state transfer.
 // Call only at a quiesced point (the swap is then a deterministic
-// event). Returns the fresh machine.
+// event). A multi-slot restart must go through restartGroup, which
+// swaps every slot before kicking any. Returns the fresh machine.
 func (h *harness) restart(shard, slot, shards, ckptEvery int) *gwts.Machine {
 	h.t.Helper()
-	every := ckptEvery
-	if shards > 1 {
-		every = compact.ScaleEvery(ckptEvery, shards)
+	return h.restartGroup([][2]int{{shard, slot}}, shards, ckptEvery, false)[0]
+}
+
+// restartFromDisk swaps a fresh replica into one crashed durable slot,
+// rehydrated from its WAL + persisted checkpoint on the harness MemFS
+// — the restart path a real process takes — and kicks it. Call only at
+// a quiesced point; a multi-slot restart must go through restartGroup.
+// Returns the fresh machine; its persister is h.pers[shard][slot].
+func (h *harness) restartFromDisk(shard, slot, shards, ckptEvery int) *gwts.Machine {
+	h.t.Helper()
+	return h.restartGroup([][2]int{{shard, slot}}, shards, ckptEvery, true)[0]
+}
+
+// restartGroup restarts the (shard, slot) pairs of slots as one
+// deterministic event: it builds and swaps in every slot's replacement
+// (empty, or rehydrated from disk when fromDisk is set) first, and only
+// after the last swap stages every slot's rejoin kick back to back — one
+// client burst, which faultnet admits as a unit. Kicking each slot as it
+// is swapped would let the first ones start a round while the rest are
+// still down, and a down Restartable swallows their traffic. Call only
+// at a quiesced point: if the network delivers anything between the
+// first and last swap, the group step fails at once, naming the slot.
+// Returns the fresh machines in the order of slots.
+func (h *harness) restartGroup(slots [][2]int, shards, ckptEvery int, fromDisk bool) []*gwts.Machine {
+	h.t.Helper()
+	if fromDisk && h.mfs == nil {
+		h.t.Fatal("restart from disk on a non-durable scenario")
 	}
-	rc := rsm.ReplicaConfig{
-		Self: ident.ProcessID(slot), N: h.obs.N, F: h.obs.F,
-		Clients: []ident.ProcessID{clientID},
-	}
-	if h.kc != nil {
-		rc.Compaction = compact.Config{
-			Self: ident.ProcessID(slot), N: h.obs.N, F: h.obs.F,
-			Keychain: h.kc, Signer: h.kc.SignerFor(ident.ProcessID(slot)),
-			Every: every,
+	steps := h.net.Steps()
+	fresh := make([]*gwts.Machine, len(slots))
+	for i, s := range slots {
+		fresh[i] = h.swapIn(s[0], s[1], shards, ckptEvery, fromDisk)
+		if now := h.net.Steps(); now != steps {
+			h.t.Fatalf("seed %d: network delivered %d messages during the group restart (seen after swapping shard %d slot %d); restart only at a quiesced point",
+				h.seed, now-steps, s[0], s[1])
 		}
 	}
-	fresh, err := rsm.NewReplica(rc)
-	if err != nil {
-		h.t.Fatal(err)
+	for _, s := range slots {
+		kick := msg.Msg(msg.Wakeup{Tag: "rejoin"})
+		if shards > 1 {
+			kick = msg.ShardMsg{Shard: s[0], Inner: kick}
+		}
+		h.net.Inject(clientID, ident.ProcessID(s[1]), kick)
 	}
-	h.wrappers[shard][slot].Swap(fresh)
-	h.reps[shard][slot] = fresh
-	kick := msg.Msg(msg.Wakeup{Tag: "rejoin"})
-	if shards > 1 {
-		kick = msg.ShardMsg{Shard: shard, Inner: kick}
-	}
-	h.net.Inject(clientID, ident.ProcessID(slot), kick)
 	return fresh
 }
 
-// restartFromDisk swaps a fresh replica into a crashed durable slot,
-// rehydrated from its WAL + persisted checkpoint on the harness MemFS
-// — the restart path a real process takes. Call only at a quiesced
-// point. Returns the fresh machine; its persister is h.pers[shard][slot].
-func (h *harness) restartFromDisk(shard, slot, shards, ckptEvery int) *gwts.Machine {
+// swapIn builds a fresh replica for one crashed slot — rehydrated from
+// its WAL + persisted checkpoint when fromDisk is set — and swaps it
+// into the slot's Restartable without kicking it.
+func (h *harness) swapIn(shard, slot, shards, ckptEvery int, fromDisk bool) *gwts.Machine {
 	h.t.Helper()
-	if h.mfs == nil {
-		h.t.Fatal("restartFromDisk on a non-durable scenario")
-	}
 	every := ckptEvery
 	if shards > 1 {
 		every = compact.ScaleEvery(ckptEvery, shards)
@@ -311,21 +326,20 @@ func (h *harness) restartFromDisk(shard, slot, shards, ckptEvery int) *gwts.Mach
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	p, err := wal.OpenFor(h.mfs, wal.ReplicaDir("data", shard, slot), wal.Options{
-		Policy: h.walPolicy, Hooks: h.storHook(shard, slot),
-	}, fresh)
-	if err != nil {
-		h.t.Fatalf("seed %d: reopen WAL shard %d slot %d: %v", h.seed, shard, slot, err)
+	var m proto.Machine = fresh
+	if fromDisk {
+		p, err := wal.OpenFor(h.mfs, wal.ReplicaDir("data", shard, slot), wal.Options{
+			Policy: h.walPolicy, Hooks: h.storHook(shard, slot),
+		}, fresh)
+		if err != nil {
+			h.t.Fatalf("seed %d: reopen WAL shard %d slot %d: %v", h.seed, shard, slot, err)
+		}
+		h.freshPers = append(h.freshPers, p)
+		h.pers[shard][slot] = p
+		m = p
 	}
-	h.freshPers = append(h.freshPers, p)
-	h.pers[shard][slot] = p
-	h.wrappers[shard][slot].Swap(p)
+	h.wrappers[shard][slot].Swap(m)
 	h.reps[shard][slot] = fresh
-	kick := msg.Msg(msg.Wakeup{Tag: "rejoin"})
-	if shards > 1 {
-		kick = msg.ShardMsg{Shard: shard, Inner: kick}
-	}
-	h.net.Inject(clientID, ident.ProcessID(slot), kick)
 	return fresh
 }
 
@@ -587,12 +601,13 @@ var scenarios = []fullStackScenario{
 			h.wrappers[1][3].Crash()
 			spread("down", 24)
 			h.quiesce()
-			fresh0 := h.restart(0, 3, 2, 16)
-			fresh1 := h.restart(1, 3, 2, 16)
+			// Both shards' p3 slots come back as one event: swapped
+			// before either is kicked.
+			fresh := h.restartGroup([][2]int{{0, 3}, {1, 3}}, 2, 16, false)
 			spread("post", 32)
 			h.quiesce()
-			for s, fresh := range map[int]*gwts.Machine{0: fresh0, 1: fresh1} {
-				st := fresh.CompactionStats()
+			for s, r := range fresh { // fresh[s] serves shard s
+				st := r.CompactionStats()
 				if st.TransfersReceived < 1 {
 					h.t.Fatalf("seed %d: shard %d restarted replica never used state transfer: %+v", h.seed, s, st)
 				}
@@ -620,9 +635,9 @@ var scenarios = []fullStackScenario{
 				h.wrappers[0][slot].Crash()
 			}
 			h.mfs.Crash("", true) // whole-machine power loss
-			for slot := 0; slot < 4; slot++ {
-				h.restartFromDisk(0, slot, 1, 12)
-			}
+			// The whole cluster restarts as one event: every slot is
+			// rehydrated and swapped in before any is kicked.
+			h.restartGroup([][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}}, 1, 12, true)
 			h.quiesce()
 			for slot := 0; slot < 4; slot++ {
 				rec := h.pers[0][slot].Recovered()
@@ -750,17 +765,16 @@ var scenarios = []fullStackScenario{
 				h.update(AddCmd(fmt.Sprintf("sk-%02d", k)))
 			}
 			h.quiesce()
+			var all [][2]int
 			for s := 0; s < 2; s++ {
 				for slot := 0; slot < 4; slot++ {
 					h.wrappers[s][slot].Crash()
+					all = append(all, [2]int{s, slot})
 				}
 			}
 			h.mfs.Crash("", true)
-			for s := 0; s < 2; s++ {
-				for slot := 0; slot < 4; slot++ {
-					h.restartFromDisk(s, slot, 2, 12)
-				}
-			}
+			// All eight slots restart as one event, in crash order.
+			h.restartGroup(all, 2, 12, true)
 			h.quiesce()
 			items := h.read() // cross-shard Scan over the reborn store
 			if got := len(SetView(items)); got != n {
